@@ -1,6 +1,6 @@
 """Observability smoke: attribution conservation at CI scale.
 
-Two tensor-backend runs under one wall budget:
+Three tensor-backend runs under one wall budget:
 
 * P=2048 with a seeded straggler+delay plan — the critical-path engine
   must decompose every rank's makespan into buckets that ``fsum``
@@ -9,7 +9,10 @@ Two tensor-backend runs under one wall budget:
   straggling ranks only;
 * P=32768 lockstep (the paper's largest configuration) with
   ``trace="metrics"`` — the vectorized aggregates and the attribution
-  must hold at full paper scale, where per-event tracing is impossible.
+  must hold at full paper scale, where per-event tracing is impossible;
+* P=2048 non-uniform ``spread_out`` with ``trace="metrics"`` — the
+  per-link table must hold all ``P * (P - 1)`` direct links, each with
+  one message in flight at most.
 
 Usage: PYTHONPATH=src python scripts/critical_path_smoke.py [budget_s]
 """
@@ -20,6 +23,7 @@ import time
 
 from repro.simmpi import ExecutionConfig, THETA, run_spmd
 from repro.simmpi.tensor import TensorAlltoallv
+from repro.workloads import block_size_matrix, distribution_by_name
 
 ALGORITHM = "two_phase_bruck"
 BLOCK = 64
@@ -27,12 +31,13 @@ PLAN = "delay:d=30us,jitter=15us,p=0.3;straggler:ranks=2:77,factor=3"
 STRAGGLERS = (2, 77)
 
 
-def check(nprocs: int, fault_plan) -> None:
+def check(nprocs: int, fault_plan, spec=None) -> None:
+    spec = spec or TensorAlltoallv(ALGORITHM, BLOCK)
     config = ExecutionConfig(machine=THETA, trace="metrics",
                              backend="tensor", wire="phantom",
                              fault_plan=fault_plan, fault_seed=29)
     t0 = time.perf_counter()
-    res = run_spmd(TensorAlltoallv(ALGORITHM, BLOCK), nprocs, config=config)
+    res = run_spmd(spec, nprocs, config=config)
     cp = res.critical_path()
     wall = time.perf_counter() - t0
 
@@ -57,9 +62,14 @@ def check(nprocs: int, fault_plan) -> None:
         assert cp.injected_delay > 0.0
     else:
         assert totals["fault_delay"] == 0.0
+    if spec.algorithm == "spread_out":
+        # Every ordered pair is one direct link carrying one message.
+        links = res.metrics.per_link
+        assert len(links) == nprocs * (nprocs - 1), len(links)
+        assert res.metrics.max_in_flight_per_link == 1
     pct = {k: f"{100 * v / math.fsum(totals.values()):.1f}%"
            for k, v in totals.items()}
-    print(f"P={nprocs:>6} {ALGORITHM} "
+    print(f"P={nprocs:>6} {spec.algorithm} "
           f"({'faulted' if fault_plan else 'clean'}): {wall:6.2f}s host "
           f"wall, {res.elapsed * 1e3:10.4f} simulated ms, "
           f"{res.metrics.total_messages} messages, attribution {pct}")
@@ -69,6 +79,9 @@ def main(wall_budget: float = 300.0) -> int:
     start = time.perf_counter()
     check(2048, PLAN)
     check(32768, None)
+    sizes = block_size_matrix(distribution_by_name("power_law", BLOCK),
+                              2048, seed=31)
+    check(2048, None, TensorAlltoallv("spread_out", sizes))
     total = time.perf_counter() - start
     print(f"\ncritical-path smoke: {total:.1f}s host wall "
           f"(budget {wall_budget:.0f}s)")

@@ -83,7 +83,11 @@ def config_fingerprint(config: "ExecutionConfig") -> str:
 
 
 def _metrics_summary(metrics) -> Dict[str, Any]:
-    """RunMetrics aggregates minus the potentially O(P^2) link map."""
+    """RunMetrics aggregates minus the potentially O(P^2) link table.
+
+    The ``LinkTable`` itself stays out of the record (a spread-out run
+    has ``P * (P - 1)`` rows); its array reductions — link count,
+    deepest link, top-5 busiest links — go in instead."""
     return {
         "nprocs": metrics.nprocs,
         "total_messages": metrics.total_messages,

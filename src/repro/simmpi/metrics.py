@@ -40,25 +40,31 @@ When metrics are disabled the network holds ``None`` and pays a single
 ``is not None`` branch per message — near-zero overhead.
 
 After a run the executor freezes the registry into a :class:`RunMetrics`
-snapshot exposed as ``SPMDResult.metrics``.
+snapshot exposed as ``SPMDResult.metrics``.  Its per-link map is a
+columnar :class:`LinkTable` — the tensor backend builds the same table —
+so a snapshot of ``P * (P - 1)`` links holds four arrays, not a dict of
+Python tuples.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "Counter",
     "Histogram",
+    "LinkTable",
     "MetricsRegistry",
     "RunMetrics",
+    "group_max_overlap",
     "max_overlap",
-    "max_overlap_by_group",
+    "time_order",
 ]
 
 
@@ -135,68 +141,205 @@ class Histogram:
         return f"Histogram({self.name!r}, n={self.count}, sum={self.total})"
 
 
+def time_order(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The sweep order of ``n`` intervals' ``2n`` events.
+
+    Event ``i < n`` opens interval ``i`` and event ``n + i`` closes it.
+    A stable sort over ``[starts, ends]`` orders events by time and, at
+    equal timestamps, puts every opening before every closing — the
+    pinned tie-break, so touching intervals overlap.  One order can feed
+    :func:`max_overlap` and any number of :func:`group_max_overlap`
+    calls over the same intervals.
+    """
+    times = np.concatenate([np.asarray(starts, dtype=np.float64),
+                            np.asarray(ends, dtype=np.float64)])
+    return np.argsort(times, kind="stable")
+
+
+def _deltas(order: np.ndarray, n: int,
+            weights: Optional[np.ndarray]) -> np.ndarray:
+    """Signed depth change of each event of ``order`` over ``n``
+    intervals: ``+weight`` opening, ``-weight`` closing (unit weights
+    when ``weights`` is None)."""
+    opens = order < n
+    if weights is None:
+        return np.where(opens, 1, -1)
+    w = np.asarray(weights, dtype=np.int64)[np.where(opens, order,
+                                                     order - n)]
+    return np.where(opens, w, -w)
+
+
 def max_overlap(starts: np.ndarray, ends: np.ndarray,
-                weights: Optional[np.ndarray] = None) -> int:
+                weights: Optional[np.ndarray] = None,
+                order: Optional[np.ndarray] = None) -> int:
     """Maximum number of simultaneously-open ``[start, end]`` intervals.
 
     Tie-break: at equal timestamps an interval *opening* is processed
     before an interval *closing*, so touching intervals overlap and every
     non-empty input yields at least ``min(weights)``.  ``weights`` lets a
     single interval stand for many identical messages (the tensor
-    backend's lockstep pattern events).
+    backend's lockstep pattern events).  ``order`` is a precomputed
+    :func:`time_order` of the same intervals.
     """
     n = len(starts)
     if n == 0:
         return 0
-    if weights is None:
-        deltas = np.ones(2 * n, dtype=np.int64)
-        deltas[n:] = -1
-    else:
-        w = np.asarray(weights, dtype=np.int64)
-        deltas = np.concatenate([w, -w])
-    times = np.concatenate([np.asarray(starts, dtype=np.float64),
-                            np.asarray(ends, dtype=np.float64)])
-    closing = np.zeros(2 * n, dtype=np.int8)
-    closing[n:] = 1
-    order = np.lexsort((closing, times))
-    return int(np.cumsum(deltas[order]).max())
+    if order is None:
+        order = time_order(starts, ends)
+    return int(np.cumsum(_deltas(order, n, weights)).max())
 
 
-def max_overlap_by_group(gids: np.ndarray, starts: np.ndarray,
-                         ends: np.ndarray,
-                         weights: Optional[np.ndarray] = None,
-                         ) -> Dict[int, int]:
+def group_max_overlap(gids: np.ndarray, starts: np.ndarray,
+                      ends: np.ndarray,
+                      weights: Optional[np.ndarray] = None,
+                      order: Optional[np.ndarray] = None,
+                      ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`max_overlap` computed independently per integer group id.
 
-    Returns ``{gid: max_overlap}`` for every group present.  One sort over
-    all events; within each group the running depth is the global running
-    sum minus the sum at the group's boundary.
+    Returns ``(groups, maxima)``: the distinct group ids in ascending
+    order and each group's maximum depth.  A group of one interval has
+    its weight as maximum and takes no part in the sweep — in spread-out
+    every link carries exactly one message.  The other groups' events
+    are taken in time order (``order``, a precomputed :func:`time_order`
+    of the same intervals), stably regrouped by id, and swept together:
+    within each group the running depth is the global running sum minus
+    the sum at the group's boundary.
     """
-    n = len(starts)
-    if n == 0:
-        return {}
     gids = np.asarray(gids, dtype=np.int64)
+    n = len(gids)
+    by_gid = np.argsort(gids, kind="stable")
+    g = gids[by_gid]
+    bounds = np.flatnonzero(np.r_[True, g[1:] != g[:-1]]) if n else \
+        np.zeros(0, dtype=np.int64)
+    counts = np.diff(np.r_[bounds, n])
+    groups = g[bounds]
     if weights is None:
-        deltas = np.ones(2 * n, dtype=np.int64)
-        deltas[n:] = -1
+        maxima = np.ones(len(groups), dtype=np.int64)
     else:
-        w = np.asarray(weights, dtype=np.int64)
-        deltas = np.concatenate([w, -w])
-    times = np.concatenate([np.asarray(starts, dtype=np.float64),
-                            np.asarray(ends, dtype=np.float64)])
-    closing = np.zeros(2 * n, dtype=np.int8)
-    closing[n:] = 1
-    g2 = np.concatenate([gids, gids])
-    order = np.lexsort((closing, times, g2))
-    g_sorted = g2[order]
-    cum = np.cumsum(deltas[order])
-    bounds = np.flatnonzero(np.r_[True, g_sorted[1:] != g_sorted[:-1]])
-    base = np.zeros(len(bounds), dtype=np.int64)
-    base[1:] = cum[bounds[1:] - 1]
-    lengths = np.diff(np.r_[bounds, len(cum)])
-    depth = cum - np.repeat(base, lengths)
-    gmax = np.maximum.reduceat(depth, bounds)
-    return {int(g): int(m) for g, m in zip(g_sorted[bounds], gmax)}
+        maxima = np.asarray(weights, dtype=np.int64)[by_gid[bounds]]
+    multi = counts > 1
+    if not multi.any():
+        return groups, maxima
+    swept = np.zeros(n, dtype=bool)
+    swept[by_gid] = np.repeat(multi, counts)
+    if order is None:
+        order = time_order(starts, ends)
+    order = order[swept[order % n]]
+    order = order[np.argsort(gids[order % n], kind="stable")]
+    eg = gids[order % n]
+    cum = np.cumsum(_deltas(order, n, weights))
+    seg = np.flatnonzero(np.r_[True, eg[1:] != eg[:-1]])
+    base = np.zeros(len(seg), dtype=np.int64)
+    base[1:] = cum[seg[1:] - 1]
+    depth = cum - np.repeat(base, np.diff(np.r_[seg, len(cum)]))
+    maxima[multi] = np.maximum.reduceat(depth, seg)
+    return groups, maxima
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray,
+            at: np.ndarray) -> np.ndarray:
+    """``values`` of the sorted ``keys`` at each of ``at``; 0 where a key
+    is absent."""
+    out = np.zeros(len(at), dtype=np.int64)
+    if len(keys):
+        pos = np.minimum(np.searchsorted(keys, at), len(keys) - 1)
+        hit = keys[pos] == at
+        out[hit] = values[pos[hit]]
+    return out
+
+
+class LinkTable(Mapping):
+    """Read-only per-link table: ``(src, dst) -> (messages, nbytes,
+    max_in_flight)``.
+
+    Stored as aligned NumPy columns sorted by link id ``src * nprocs +
+    dst``, so iteration runs in ascending ``(src, dst)`` order and a
+    spread-out run's ``P * (P - 1)`` links cost four arrays, not a dict
+    of tuples.  Values read back as tuples of Python ints.  A table
+    compares equal to another table or to any mapping — a plain dict
+    included, from either side — holding the same links and values.
+    """
+
+    __slots__ = ("nprocs", "ids", "messages", "nbytes", "max_in_flight")
+
+    def __init__(self, nprocs: int, ids: np.ndarray, messages: np.ndarray,
+                 nbytes: np.ndarray, max_in_flight: np.ndarray) -> None:
+        """``ids`` must be distinct; the columns are reordered by id when
+        they are not already ascending."""
+        ids = np.asarray(ids, dtype=np.int64)
+        cols = [np.asarray(c, dtype=np.int64)
+                for c in (messages, nbytes, max_in_flight)]
+        if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            cols = [c[order] for c in cols]
+        self.nprocs = int(nprocs)
+        self.ids = ids
+        self.messages, self.nbytes, self.max_in_flight = cols
+
+    @classmethod
+    def empty(cls, nprocs: int) -> "LinkTable":
+        z = np.zeros(0, dtype=np.int64)
+        return cls(nprocs, z, z, z, z)
+
+    def _pos(self, key) -> int:
+        p = self.nprocs
+        try:
+            src, dst = key
+            valid = 0 <= src < p and 0 <= dst < p
+        except (TypeError, ValueError):
+            valid = False
+        if valid:
+            link = src * p + dst
+            pos = int(np.searchsorted(self.ids, link))
+            if pos < len(self.ids) and self.ids[pos] == link:
+                return pos
+        raise KeyError(key)
+
+    def _row(self, pos: int) -> Tuple[int, int, int]:
+        return (int(self.messages[pos]), int(self.nbytes[pos]),
+                int(self.max_in_flight[pos]))
+
+    def __getitem__(self, key) -> Tuple[int, int, int]:
+        return self._row(self._pos(key))
+
+    def __contains__(self, key) -> bool:
+        try:
+            self._pos(key)
+        except KeyError:
+            return False
+        return True
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        p = self.nprocs
+        return (divmod(link, p) for link in self.ids.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LinkTable) and other.nprocs == self.nprocs:
+            return (np.array_equal(self.ids, other.ids)
+                    and np.array_equal(self.messages, other.messages)
+                    and np.array_equal(self.nbytes, other.nbytes)
+                    and np.array_equal(self.max_in_flight,
+                                       other.max_in_flight))
+        if isinstance(other, Mapping):
+            if len(other) != len(self):
+                return False
+            for key, value in other.items():
+                try:
+                    if self[key] != value:
+                        return False
+                except KeyError:
+                    return False
+            return True
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"LinkTable(nprocs={self.nprocs}, links={len(self)})"
 
 
 class MetricsRegistry:
@@ -302,6 +445,11 @@ class MetricsRegistry:
         """Freeze the registry into an immutable-by-convention snapshot."""
         events = [ev for per_rank in self._flights for ev in per_rank]
         p = self.nprocs
+        links = np.array([src * p + dst for src, dst in self.per_link],
+                         dtype=np.int64)
+        totals = np.array(list(self.per_link.values()),
+                          dtype=np.int64).reshape(-1, 2)
+        link_max = np.zeros(len(links), dtype=np.int64)
         if events:
             arr = np.asarray(events, dtype=np.float64)
             srcs = arr[:, 0].astype(np.int64)
@@ -309,24 +457,25 @@ class MetricsRegistry:
             tags = arr[:, 2].astype(np.int64)
             starts = arr[:, 3]
             ends = arr[:, 4]
-            global_max = max_overlap(starts, ends)
-            link_max = max_overlap_by_group(srcs * p + dsts, starts, ends)
-            step_max = max_overlap_by_group(tags, starts, ends)
+            order = time_order(starts, ends)
+            global_max = max_overlap(starts, ends, order=order)
+            flown, flown_max = group_max_overlap(srcs * p + dsts, starts,
+                                                 ends, order=order)
+            link_max = _lookup(flown, flown_max, links)
+            step_tags, step_max = group_max_overlap(tags, starts, ends,
+                                                    order=order)
+            step_depth = dict(zip(step_tags.tolist(), step_max.tolist()))
         else:
             global_max = 0
-            link_max = {}
-            step_max = {}
-        per_link = {
-            (src, dst): (m, b, link_max.get(src * p + dst, 0))
-            for (src, dst), (m, b) in self.per_link.items()
-        }
+            step_depth = {}
+        per_link = LinkTable(p, links, totals[:, 0], totals[:, 1], link_max)
         step_qw: Dict[int, float] = {}
         for per_rank in self._step_qw_max:
             for tag, qw in per_rank.items():
                 if qw > step_qw.get(tag, 0.0):
                     step_qw[tag] = qw
         per_step = {
-            tag: (m, b, step_max.get(tag, 0), step_qw.get(tag, 0.0))
+            tag: (m, b, step_depth.get(tag, 0), step_qw.get(tag, 0.0))
             for tag, (m, b) in self.per_step.items()
         }
         return RunMetrics(
@@ -353,10 +502,11 @@ class MetricsRegistry:
 class RunMetrics:
     """Frozen aggregates of one SPMD run (``SPMDResult.metrics``).
 
-    ``per_link`` values are ``(messages, nbytes, max_in_flight)`` tuples;
-    ``per_step`` values are ``(messages, nbytes, max_in_flight,
-    queue_wait_max)``; ``phase_times`` is the max-over-ranks table (the
-    bulk-synchronous bound: everyone waits for the slowest rank).  All
+    ``per_link`` is a read-only :class:`LinkTable` mapping ``(src, dst)``
+    to ``(messages, nbytes, max_in_flight)`` tuples; ``per_step`` values
+    are ``(messages, nbytes, max_in_flight, queue_wait_max)``;
+    ``phase_times`` is the max-over-ranks table (the bulk-synchronous
+    bound: everyone waits for the slowest rank).  All
     fields are pure functions of simulated time, so snapshots are
     bit-identical across backends and host schedules.
     """
@@ -367,7 +517,7 @@ class RunMetrics:
     message_size_buckets: List[Tuple[int, int, int]]
     max_message_nbytes: int
     max_in_flight: int
-    per_link: Dict[Tuple[int, int], Tuple[int, int, int]]
+    per_link: LinkTable
     per_step: Dict[int, Tuple[int, int, int, float]]
     queue_wait_total: float
     queue_wait_max: float
@@ -388,9 +538,7 @@ class RunMetrics:
     @property
     def max_in_flight_per_link(self) -> int:
         """Largest concurrent queue depth observed on any single link."""
-        if not self.per_link:
-            return 0
-        return max(stats[2] for stats in self.per_link.values())
+        return int(self.per_link.max_in_flight.max(initial=0))
 
     def busiest_links(self, limit: int = 5) -> List[Tuple[Tuple[int, int],
                                                           Tuple[int, int, int]]]:
@@ -400,9 +548,22 @@ class RunMetrics:
         dst))`` — equal-byte links appear in ascending ``(src, dst)``
         order, so the table is stable across runs and backends.
         """
-        ranked = sorted(self.per_link.items(),
-                        key=lambda kv: (-kv[1][1], kv[0]))
-        return ranked[:limit]
+        table = self.per_link
+        n = len(table)
+        limit = max(0, min(limit, n))
+        if limit == 0:
+            return []
+        nb = table.nbytes
+        # The limit-th largest byte count splits the table: every link
+        # above it ranks, and ties at it fill the rest in id order.
+        kth = np.partition(nb, n - limit)[n - limit]
+        above = np.flatnonzero(nb > kth)
+        tied = np.flatnonzero(nb == kth)[:limit - len(above)]
+        pick = np.sort(np.concatenate([above, tied]))
+        pick = pick[np.argsort(-nb[pick], kind="stable")]
+        links = [divmod(link, table.nprocs)
+                 for link in table.ids[pick].tolist()]
+        return [(link, table[link]) for link in links]
 
     def step_table(self) -> List[Tuple[int, int, int, int, float]]:
         """Per-step rows ``(tag, messages, nbytes, max_in_flight,

@@ -218,6 +218,22 @@ def test_tensor_nonuniform_metrics_bit_identical(name, nprocs):
     _assert_tensor_metrics_match_coop(TensorAlltoallv(name, sizes), nprocs)
 
 
+@pytest.mark.parametrize("name",
+                         ["spread_out", "two_phase_bruck", "padded_bruck"])
+def test_tensor_prime_p_metrics_bit_identical(name):
+    # A prime P: no power-of-two structure in the step offsets.
+    sizes = block_size_matrix(distribution_by_name("power_law", MAX_BLOCK),
+                              17, seed=7)
+    _assert_tensor_metrics_match_coop(TensorAlltoallv(name, sizes), 17)
+
+
+@pytest.mark.parametrize("name", list_algorithms("nonuniform"))
+def test_tensor_nonuniform_const_sizes_metrics(name):
+    # Constant sizes take the lockstep single-lane path, whose per-link
+    # table is expanded from per-offset totals at snapshot time.
+    _assert_tensor_metrics_match_coop(TensorAlltoallv(name, BLOCK), 16)
+
+
 def test_tensor_metrics_hierarchical_machine():
     # ppn>1 exercises the locality/grouped lane-subset completion paths.
     machine = THETA.with_overrides(ppn=4)

@@ -1,11 +1,16 @@
 """Tests for the aggregate metrics registry and the trace modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simmpi import (
     LOCAL,
     Counter,
+    ExecutionConfig,
     Histogram,
     MetricsRegistry,
     MetricsTrace,
@@ -13,6 +18,12 @@ from repro.simmpi import (
     RankTrace,
     TraceBase,
     run_spmd,
+)
+from repro.simmpi.metrics import (
+    LinkTable,
+    group_max_overlap,
+    max_overlap,
+    time_order,
 )
 
 
@@ -127,6 +138,132 @@ class TestMetricsRegistry:
             [(0, 2), (1, 0), (3, 1), (2, 3)]
 
 
+def _table(nprocs, links):
+    """A LinkTable holding the ``{(src, dst): (m, b, f)}`` dict ``links``,
+    its rows handed over in reverse order (the constructor sorts)."""
+    rows = sorted(links.items(), reverse=True)
+    cols = [[v[i] for _, v in rows] for i in range(3)]
+    return LinkTable(nprocs, [s * nprocs + d for (s, d), _ in rows], *cols)
+
+
+class TestLinkTable:
+    LINKS = {(3, 1): (1, 500, 1), (0, 2): (1, 500, 1), (1, 0): (2, 30, 2)}
+
+    def test_equal_to_dict_both_ways(self):
+        table = _table(4, self.LINKS)
+        assert table == self.LINKS
+        assert self.LINKS == table
+        assert table == _table(4, dict(self.LINKS))
+        changed = self.LINKS | {(1, 0): (2, 30, 1)}
+        assert table != changed and changed != table
+        extra = self.LINKS | {(2, 2): (1, 1, 1)}
+        assert table != extra and extra != table
+        assert table != _table(4, changed)
+        assert table != [1, 2, 3]
+
+    def test_missing_link_raises_key_error(self):
+        table = _table(4, self.LINKS)
+        for key in ((2, 2), (0, 1), (4, 0), (0, -1), (1,), "x", ("a", "b")):
+            with pytest.raises(KeyError):
+                table[key]
+        assert table.get((2, 2)) is None
+
+    def test_len_and_contains(self):
+        table = _table(4, self.LINKS)
+        assert len(table) == 3
+        assert (1, 0) in table and (0, 1) not in table
+        assert (7, 7) not in table
+        assert len(LinkTable.empty(4)) == 0
+        assert LinkTable.empty(4) == {}
+
+    def test_iterates_in_ascending_link_order(self):
+        table = _table(4, self.LINKS)
+        assert list(table) == [(0, 2), (1, 0), (3, 1)]
+        assert dict(table.items()) == self.LINKS
+        assert table[(1, 0)] == (2, 30, 2)
+        assert all(type(v) is int for v in table[(1, 0)])
+
+    def test_is_read_only(self):
+        table = _table(4, self.LINKS)
+        with pytest.raises(TypeError):
+            table[(2, 2)] = (1, 1, 1)
+
+    def test_registry_snapshot_builds_a_table(self):
+        reg = MetricsRegistry(nprocs=3)
+        reg.on_post(2, 0, 0, 8)
+        reg.on_post(0, 1, 0, 8)
+        snap = reg.snapshot()
+        assert isinstance(snap.per_link, LinkTable)
+        assert list(snap.per_link) == [(0, 1), (2, 0)]
+        # Posted but never retired: no flight interval, depth 0.
+        assert snap.per_link == {(0, 1): (1, 8, 0), (2, 0): (1, 8, 0)}
+
+
+_LINK_DICTS = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3)),
+    max_size=36)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LINK_DICTS, st.integers(0, 40))
+def test_link_reductions_match_dict_reference(links, limit):
+    metrics = dataclasses.replace(MetricsRegistry(nprocs=6).snapshot(),
+                                  per_link=_table(6, links))
+    ranked = sorted(links.items(), key=lambda kv: (-kv[1][1], kv[0]))
+    assert metrics.busiest_links(limit) == ranked[:limit]
+    assert metrics.max_in_flight_per_link == \
+        max((v[2] for v in links.values()), default=0)
+
+
+def _brute_depth(intervals):
+    """Deepest overlap by direct count: at each opening instant ``t``,
+    every interval with ``start <= t <= end`` is open (touching
+    intervals overlap)."""
+    return max((sum(w for s, e, w in intervals if s <= t <= e)
+                for t, _, _ in intervals), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6),
+                          st.integers(0, 3), st.integers(1, 4)),
+                max_size=40),
+       st.booleans())
+def test_group_max_overlap_matches_brute_force(events, weighted):
+    # Small integer times make equal timestamps — and so touching
+    # intervals — common; few group ids leave some groups singletons.
+    gids = np.array([g for g, _, _, _ in events], dtype=np.int64)
+    starts = np.array([s for _, s, _, _ in events], dtype=np.float64)
+    ends = starts + np.array([d for _, _, d, _ in events])
+    w = [wt for _, _, _, wt in events] if weighted else [1] * len(events)
+    weights = np.array(w, dtype=np.int64) if weighted else None
+    intervals = list(zip(starts.tolist(), ends.tolist(), w))
+    expect = {g: _brute_depth([iv for iv, gi in zip(intervals, gids)
+                               if gi == g])
+              for g in sorted(set(gids.tolist()))}
+    for order in (None, time_order(starts, ends)):
+        groups, maxima = group_max_overlap(gids, starts, ends, weights,
+                                           order=order)
+        assert dict(zip(groups.tolist(), maxima.tolist())) == expect
+        assert groups.tolist() == sorted(expect)
+        assert max_overlap(starts, ends, weights, order=order) == \
+            _brute_depth(intervals)
+
+
+def test_group_max_overlap_empty_and_singletons():
+    empty = np.zeros(0)
+    groups, maxima = group_max_overlap(np.zeros(0, dtype=np.int64),
+                                       empty, empty)
+    assert groups.tolist() == [] and maxima.tolist() == []
+    assert max_overlap(empty, empty) == 0
+    # Every group a singleton: each reports its own weight.
+    groups, maxima = group_max_overlap(np.array([9, 2, 5]),
+                                       np.array([0.0, 0.0, 0.0]),
+                                       np.array([1.0, 1.0, 1.0]),
+                                       np.array([3, 1, 7]))
+    assert groups.tolist() == [2, 5, 9] and maxima.tolist() == [1, 7, 3]
+
+
 def _pingpong(comm):
     buf = np.zeros(64, dtype=np.uint8)
     with comm.phase("exchange"):
@@ -140,43 +277,47 @@ def _pingpong(comm):
     return comm.rank
 
 
+def _config(trace):
+    return ExecutionConfig(machine=LOCAL, trace=trace)
+
+
 class TestTraceModes:
     def test_full_records_both(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace=True)
+        res = run_spmd(_pingpong, 2, config=_config(True))
         assert res.traces is not None
         assert res.metrics is not None
 
     def test_events_only(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace="events")
+        res = run_spmd(_pingpong, 2, config=_config("events"))
         assert res.traces is not None
         assert res.metrics is None
 
     def test_metrics_only(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace="metrics")
+        res = run_spmd(_pingpong, 2, config=_config("metrics"))
         assert res.traces is None
         assert res.metrics is not None
         # Phase/collective tables still work, fed by the MetricsTrace.
-        full = run_spmd(_pingpong, 2, machine=LOCAL, trace=True)
+        full = run_spmd(_pingpong, 2, config=_config(True))
         assert res.phase_times() == pytest.approx(full.phase_times())
         assert res.collective_times() == \
             pytest.approx(full.collective_times())
 
     def test_off(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace=False)
+        res = run_spmd(_pingpong, 2, config=_config(False))
         assert res.traces is None
         assert res.metrics is None
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="trace"):
-            run_spmd(_pingpong, 2, machine=LOCAL, trace="everything")
+            run_spmd(_pingpong, 2, config=_config("everything"))
 
     def test_totals_agree_with_network(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace=True)
+        res = run_spmd(_pingpong, 2, config=_config(True))
         assert res.metrics.total_messages == res.total_messages
         assert res.metrics.total_bytes == res.total_bytes
 
     def test_wait_decomposition_nonnegative(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace="metrics")
+        res = run_spmd(_pingpong, 2, config=_config("metrics"))
         m = res.metrics
         assert m.queue_wait_total >= 0.0
         assert m.recv_wait_total >= 0.0
@@ -186,9 +327,9 @@ class TestTraceModes:
     def test_metrics_do_not_perturb_clocks(self):
         # The cost model must be identical with observability on and off.
         for mode in (False, "events", "metrics", True):
-            res = run_spmd(_pingpong, 2, machine=LOCAL, trace=mode)
+            res = run_spmd(_pingpong, 2, config=_config(mode))
             assert res.clocks == \
-                run_spmd(_pingpong, 2, machine=LOCAL, trace=True).clocks
+                run_spmd(_pingpong, 2, config=_config(True)).clocks
 
 
 class TestTracerHierarchy:

@@ -21,6 +21,7 @@ Bruck index conventions used throughout (see DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -199,8 +200,15 @@ def bruck_substeps(nprocs: int, radix: int = 2) -> List[BruckSubstep]:
     bit-trick helpers, so every integer (index, jump, distances) — and
     therefore every message, tag and clock charge downstream — is identical
     to the unparameterized path.
+
+    The schedule is memoised per ``(P, r)``; each call returns a fresh
+    list of the (frozen) substeps, so callers may mutate the list.
     """
-    r = validate_radix(radix)
+    return list(_bruck_substeps(nprocs, validate_radix(radix)))
+
+
+@lru_cache(maxsize=256)
+def _bruck_substeps(nprocs: int, r: int) -> Tuple[BruckSubstep, ...]:
     subs: List[BruckSubstep] = []
     for k in range(radix_num_steps(nprocs, r)):
         for z in range(1, r):
@@ -210,7 +218,7 @@ def bruck_substeps(nprocs: int, radix: int = 2) -> List[BruckSubstep]:
             subs.append(BruckSubstep(index=k * (r - 1) + (z - 1), step=k,
                                      digit=z, jump=z * r ** k,
                                      distances=tuple(dist)))
-    return subs
+    return tuple(subs)
 
 
 def total_forwarded_blocks(nprocs: int, radix: int = 2) -> int:

@@ -5,7 +5,12 @@ Two evaluation modes:
 * **exact** — materializes the full ``P×P`` block-size matrix and replays
   every cost the functional implementation charges, in program order,
   vectorized over ranks.  Bit-identical to ``run_spmd`` + the functional
-  algorithm (asserted by integration tests); practical to ``P ≈ 4096``.
+  algorithm (asserted by integration tests).  One prediction, sampling
+  included, N = 64 uniform or power-law blocks, on a 2-core AMD EPYC
+  host: 0.04–0.06 s (two-phase), 0.03–0.05 s (spread-out) and
+  0.01–0.03 s (padded) at ``P = 2048``; 0.13–0.20, 0.11–0.17 and
+  0.05–0.10 s at ``P = 4096``.  Two-phase also holds an int64 table of
+  the matrix's wrapped diagonals, ``r**ceil(log_r P)`` rows by ``P``.
 * **clt** — for the paper's 8K–32K sweeps: per-step per-rank byte totals
   are sampled from their exact aggregate distributions (a sum of ``m ≈ P/2``
   iid block sizes → Normal by the CLT; non-zero block counts → Binomial;
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from ..core.common import bruck_substeps
+from ..core.common import bruck_substeps, radix_num_steps
 from ..core.registry import get_algorithm
 from ..simmpi.machine import MachineProfile
 from ..workloads.distributions import BlockSizeDistribution
@@ -43,6 +48,8 @@ __all__ = ["TimingResult", "predict_alltoallv", "NONUNIFORM_PREDICTABLE"]
 
 _ROT_INDEX_COST_PER_PROC = 1.0e-9  # matches the functional implementations
 _META_ENTRY_BYTES = 4.0
+#: Send offsets whose arrival and serial times spread-out computes at once.
+_OFFSET_SLAB = 64
 
 NONUNIFORM_PREDICTABLE = (
     "two_phase_bruck", "padded_bruck", "padded_alltoall", "spread_out",
@@ -122,6 +129,29 @@ def predict_alltoallv(algorithm: str, machine: MachineProfile, nprocs: int,
 # exact mode
 # ----------------------------------------------------------------------
 
+def _wrapped_diagonals(sizes: np.ndarray, rows: int) -> np.ndarray:
+    """``diag[i, s] = sizes[s, (s - i) % P]``: the block of distance ``i``
+    that rank ``s`` sends, zero-padded to ``rows`` rows.
+
+    Row ``i`` is two strided slices of the flat matrix (stride ``P + 1``):
+    ``s >= i`` starts at ``sizes[i, 0]``, ``s < i`` at ``sizes[0, P - i]``.
+    """
+    p = sizes.shape[0]
+    flat = sizes.ravel()
+    diag = np.zeros((rows, p), dtype=np.int64)
+    for i in range(p):
+        diag[i, i:] = flat[i * p::p + 1][:p - i]
+        diag[i, :i] = flat[p - i::p + 1][:i]
+    return diag
+
+
+def _add_rotated(out: np.ndarray, row: np.ndarray, shift: int) -> None:
+    """``out[rank] += row[(rank + shift) % P]`` with two slice-adds."""
+    p = len(out)
+    out[:p - shift] += row[shift:]
+    out[p - shift:] += row[:shift]
+
+
 def _two_phase_exact(machine: MachineProfile, sizes: np.ndarray,
                      radix: int = 2) -> float:
     p = sizes.shape[0]
@@ -132,21 +162,34 @@ def _two_phase_exact(machine: MachineProfile, sizes: np.ndarray,
         return float(clocks.max())
     clocks = clocks + copy_time_vec(machine, np.diagonal(sizes))
     ranks = np.arange(p)
+    # The block at working slot (i + rank) at step k originated at source
+    # s = rank + (i mod r^k) and is destined for d = s - i, so its size is
+    # diag[i, s].  Padded to r^steps rows, the distances whose digit k is z
+    # are the view diag.reshape(H, r, r^k, P)[:, z]; summing over H leaves
+    # one row per low part lo = i mod r^k, read by rank (s - lo).
+    rows = radix ** radix_num_steps(p, radix)
+    diag = _wrapped_diagonals(sizes, rows)
+    nonzero = diag > 0
     for sub in bruck_substeps(p, radix):
-        dist_k = np.asarray(sub.distances, dtype=np.int64)
-        m = len(dist_k)
+        span = radix ** sub.step
+        shape = (rows // (span * radix), radix, span, p)
+        by_low = diag.reshape(shape)[:, sub.digit]
+        nz_by_low = nonzero.reshape(shape)[:, sub.digit]
+        if shape[0] == 1:  # no higher digits: read the table in place
+            by_low, nz_by_low = by_low[0], nz_by_low[0]
+        else:
+            by_low = by_low.sum(axis=0)
+            nz_by_low = nz_by_low.sum(axis=0, dtype=np.int32)
+        bytes_sum = np.zeros(p, dtype=np.int64)
+        nz_sum = np.zeros(p, dtype=np.int32)
+        for lo in range(min(span, p - sub.jump)):  # lo >= p - jump: i >= P
+            _add_rotated(bytes_sum, by_low[lo], lo)
+            _add_rotated(nz_sum, nz_by_low[lo], lo)
+        bytes_out = bytes_sum.astype(np.float64)
+        nz_out = nz_sum.astype(np.float64)
         # metadata exchange
         clocks = bruck_step(clocks, machine, p, sub.jump,
-                            _META_ENTRY_BYTES * m)
-        # The block at working slot (i + rank) at step k originated at
-        # source s = rank + (i mod r^k) and is destined for d = s - i;
-        # its size therefore is sizes[s, d].
-        low = dist_k % radix ** sub.step
-        s = (ranks[:, None] + low[None, :]) % p
-        d = (s - dist_k[None, :]) % p
-        blk = sizes[s, d]
-        bytes_out = blk.sum(axis=1).astype(np.float64)
-        nz_out = (blk > 0).sum(axis=1).astype(np.float64)
+                            _META_ENTRY_BYTES * len(sub.distances))
         clocks = clocks + copy_time_blocks(machine, nz_out, bytes_out)  # pack
         clocks = bruck_step(clocks, machine, p, sub.jump, bytes_out)
         src = (ranks + sub.jump) % p
@@ -244,14 +287,26 @@ def _spread_out_exact(machine: MachineProfile, sizes: np.ndarray) -> float:
     if p == 1:
         return float(clocks.max())
     base = clocks + (p - 1) * machine.o_recv
-    ranks = np.arange(p)
+    flat = sizes.ravel()
     c = base + (p - 1) * machine.o_send
-    for off in range(1, p):
-        src = (ranks - off) % p
-        nb = sizes[src, ranks]
-        c = np.maximum(c, base[src] + off * machine.o_send
-                       + head_latency_vec(machine, nb)) \
-            + serial_time_vec(machine, nb, p)
+    # Rank r's message at offset `off` comes from src = (r - off) % P.  A
+    # slab of offsets gets its arrival and serial times in one pass; the
+    # receive chain itself stays sequential, in posting order.
+    for first in range(1, p, _OFFSET_SLAB):
+        offs = np.arange(first, min(first + _OFFSET_SLAB, p))
+        nb = np.empty((len(offs), p))
+        depart = np.empty((len(offs), p))
+        for j, off in enumerate(offs.tolist()):
+            nb[j, off:] = flat[off::p + 1][:p - off]          # sizes[src, r]
+            nb[j, :off] = flat[(p - off) * p::p + 1][:off]
+            depart[j, off:] = base[:p - off]                  # base[src]
+            depart[j, :off] = base[p - off:]
+        arrive = depart + (offs * machine.o_send)[:, None] \
+            + head_latency_vec(machine, nb)
+        serial = serial_time_vec(machine, nb, p)
+        for j in range(len(offs)):
+            np.maximum(c, arrive[j], out=c)
+            c += serial[j]
     return float(c.max())
 
 

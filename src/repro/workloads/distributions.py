@@ -132,6 +132,14 @@ class WindowedUniformBlocks(BlockSizeDistribution):
                 f"{lo_pct:.0f}-{self.r_percent:.0f}, mean={self.mean:.1f})")
 
 
+#: Guide-table buckets of the tabulated sampler; a power of two, so that
+#: ``floor(u * K)`` is exact for every double ``u``.
+_GUIDE_BUCKETS = 1 << 12
+#: Uniforms drawn per chunk by the tabulated sampler: its temporaries are
+#: a few 2 MB arrays, not several the size of the whole draw.
+_SAMPLE_CHUNK = 1 << 18
+
+
 class _TabulatedDistribution(BlockSizeDistribution):
     """Helper base: explicit pmf over {0..N}; exact moments; fast sampling."""
 
@@ -143,6 +151,10 @@ class _TabulatedDistribution(BlockSizeDistribution):
             raise ValueError(f"degenerate pmf for {self.name} (N={max_block})")
         self._pmf = pmf / total
         self._cdf = np.cumsum(self._pmf)
+        # Rounding can leave the cumulative sum a few ulps short of 1; a
+        # uniform draw at or above it would then map past the support.
+        self._cdf[-1] = 1.0
+        self._build_guide()
         support = np.arange(self.max_block + 1, dtype=np.float64)
         self._mean = float((support * self._pmf).sum())
         self._var = float(((support - self._mean) ** 2 * self._pmf).sum())
@@ -150,9 +162,44 @@ class _TabulatedDistribution(BlockSizeDistribution):
     def _build_pmf(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _build_guide(self) -> None:
+        """Indexed-search table for :meth:`sample`.
+
+        ``_guide[b]`` counts the cdf entries ``<= b / K``, so a draw ``u``
+        in bucket ``b = floor(u * K)`` has its answer (the count of cdf
+        entries ``<= u``) in ``[_guide[b], _guide[b] + width]`` with
+        ``width = max(diff(_guide))``.  ``_lifts`` is the number of binary
+        lifting passes that close that gap: ``1 << _lifts > width``.
+        ``_cdf_ext`` pads the cdf with ``+inf`` so no pass reads past it.
+        """
+        k = _GUIDE_BUCKETS
+        self._guide = np.searchsorted(self._cdf, np.arange(k + 1) / k,
+                                      side="right")
+        width = int(np.diff(self._guide).max())
+        self._lifts = width.bit_length()
+        self._cdf_ext = np.concatenate(
+            [self._cdf, np.full(1 << self._lifts, np.inf)])
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
+        """Inverse-cdf sampling, ``searchsorted(_cdf, u, side="right")``
+        for ``u = rng.random(size)``, evaluated with a guide table.
+
+        ``K`` is a power of two, so ``floor(u * K)`` is exact and the
+        bucket always brackets ``u``; every pass adds ``step`` when the
+        ``step`` cdf entries past the current answer are all ``<= u``.  The
+        uniforms are drawn in fixed chunks — the same stream as one draw —
+        so the temporaries stay O(chunk) however large ``size`` is.
+        """
+        out = np.empty(size, dtype=np.int64)
+        guide, cdf = self._guide, self._cdf_ext
+        steps = [1 << t for t in range(self._lifts - 1, -1, -1)]
+        for start in range(0, size, _SAMPLE_CHUNK):
+            u = rng.random(min(_SAMPLE_CHUNK, size - start))
+            ans = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+            for step in steps:
+                np.add(ans, step, out=ans, where=cdf[ans + (step - 1)] <= u)
+            out[start:start + len(u)] = ans
+        return out
 
     @property
     def mean(self) -> float:

@@ -211,3 +211,15 @@ class TestRadixHelpers:
         totals = [total_forwarded_blocks(p, r) for r in (2, 4, 16)]
         assert totals[0] >= totals[1] >= totals[2]
         assert total_forwarded_blocks(p, p if p > 1 else 2) == p - 1
+
+
+class TestSubstepMemo:
+    @pytest.mark.parametrize("p,r", [(17, 2), (100, 3), (257, 7)])
+    def test_fresh_list_per_call(self, p, r):
+        from repro.core.common import bruck_substeps
+        first = bruck_substeps(p, r)
+        expect = list(first)
+        assert bruck_substeps(p, r) is not first
+        first.clear()
+        first.append("junk")
+        assert bruck_substeps(p, r) == expect

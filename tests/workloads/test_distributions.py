@@ -148,3 +148,62 @@ class TestProperties:
         d = WindowedUniformBlocks(n, r)
         assert d.mean == pytest.approx((d.low + n) / 2)
         assert 0 <= d.low <= n
+
+
+class _FixedUniforms:
+    """Generator stub: ``random(n)`` hands out the next ``n`` of ``u``."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+        self.pos = 0
+
+    def random(self, n):
+        out = self.u[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+
+LAST_DOUBLE = 1.0 - 2.0 ** -53  # the largest value rng.random() returns
+
+TABULATED = [
+    cls(n) for cls in (NormalBlocks, PowerLawBlocks) for n in (0, 1, 64, 2048)
+] + [PowerLawBlocks(n, base=0.999) for n in (1, 64, 2048)]
+
+
+class TestTabulatedSampler:
+    @pytest.mark.parametrize("dist", TABULATED, ids=lambda d: d.describe())
+    def test_largest_uniform_stays_in_support(self, dist):
+        # PowerLawBlocks(64)'s cumulative sum ends at 0.9999999999999993;
+        # a draw at or above it used to map to max_block + 1.
+        x = dist.sample(_FixedUniforms([LAST_DOUBLE] * 3), 3)
+        assert (x <= dist.max_block).all()
+        assert (x == dist.max_block).all()
+
+    @pytest.mark.parametrize("dist", TABULATED, ids=lambda d: d.describe())
+    def test_matches_searchsorted_on_adversarial_uniforms(self, dist):
+        cdf = dist._cdf
+        buckets = np.arange(4097) / 4096
+        edges = np.concatenate([cdf, buckets])
+        u = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            [0.0, LAST_DOUBLE]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = dist.sample(_FixedUniforms(u), len(u))
+        np.testing.assert_array_equal(
+            got, np.searchsorted(cdf, u, side="right"))
+        # Below the unpinned sum's last value nothing moved.
+        raw = np.cumsum(dist._pmf)
+        low = u < raw[-1]
+        np.testing.assert_array_equal(
+            got[low], np.searchsorted(raw, u[low], side="right"))
+
+    @pytest.mark.parametrize("dist", [NormalBlocks(2048), PowerLawBlocks(64)],
+                             ids=lambda d: d.describe())
+    def test_chunked_draw_equals_single_draw(self, dist):
+        from repro.workloads.distributions import _SAMPLE_CHUNK
+        size = 2 * _SAMPLE_CHUNK + 12345  # not a multiple of the chunk
+        got = dist.sample(np.random.default_rng(5), size)
+        u = np.random.default_rng(5).random(size)
+        np.testing.assert_array_equal(
+            got, np.searchsorted(dist._cdf, u, side="right"))
+        assert got.dtype == np.int64 and got.shape == (size,)

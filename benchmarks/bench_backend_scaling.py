@@ -84,7 +84,7 @@ def test_backend_scaling(benchmark):
                  f"coop past P={COOP_MAX} (practical per-rank-program "
                  f"limits); the tensor backend continues to "
                  f"P={PROCS[-1]} here and to P=32768 in the "
-                 f"tensor-scale-smoke CI job.")
+                 f"tensor-scale CI smoke cell.")
 
     # The whole point: the tensor backend completes the out-of-reach
     # sizes, and somewhere in the overlap region it overtakes coop.

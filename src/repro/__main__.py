@@ -293,10 +293,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
               "use --level metrics (with --backend coop or tensor) for "
               "large-P aggregate observability", file=sys.stderr)
         return 2
-    if args.backend == "threads" and args.nprocs > 256:
-        print("error: the thread backend is practical up to 256 ranks; "
-              "pass --backend coop or tensor", file=sys.stderr)
-        return 2
     if args.backend == "tensor" and events_on:
         print("error: the tensor backend records no per-event traces; "
               "pass --level metrics", file=sys.stderr)

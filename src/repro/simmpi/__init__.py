@@ -3,10 +3,13 @@
 A deterministic, in-process stand-in for an MPI runtime: SPMD programs run
 against a shared :class:`~repro.simmpi.network.Network` whose simulated
 clocks follow a LogGP-style cost model parameterized by
-:class:`~repro.simmpi.machine.MachineProfile`.  Two executor backends with
-bit-identical simulated clocks: thread-per-rank (default, up to a few
-hundred ranks) and the cooperative scheduler (``backend="coop"``,
-thousands of ranks; see :mod:`repro.simmpi.scheduler`).
+:class:`~repro.simmpi.machine.MachineProfile`.  Three executor backends
+with bit-identical simulated clocks, chosen by
+:attr:`ExecutionConfig.backend`: thread-per-rank (default, up to a few
+hundred ranks), the cooperative scheduler (``"coop"``, thousands of
+ranks; see :mod:`repro.simmpi.scheduler`) and the vectorized tensor
+engine (``"tensor"``, the paper's 32K ranks; see
+:mod:`repro.simmpi.tensor`).
 
 Quick start::
 

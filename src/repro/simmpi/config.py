@@ -17,13 +17,11 @@ value object:
   what the run did;
 * **hashable/frozen** — a config can key a result cache or be compared
   across runs.
-
-The legacy ``run_spmd(fn, n, machine=..., backend=...)`` kwargs keep
-working through a deprecation shim that forwards into a config.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
@@ -68,29 +66,51 @@ def _resolve_trace_mode(trace: Union[bool, str, None]) -> str:
 class ExecutionConfig:
     """Everything about *how* an SPMD run executes (not *what* it runs).
 
-    Parameters mirror the documented semantics of :func:`run_spmd`:
-
+    Parameters
+    ----------
     machine:
         Cost-model profile (default: the forgiving ``LOCAL`` profile).
     trace:
-        Observability mode: ``True``/``"full"``, ``"events"``,
-        ``"metrics"``, or ``False``/``None``/``"off"``.  Stored
-        normalized to one of :data:`TRACE_MODES`.
+        Observability mode.  ``True``/``"full"`` (the default) records
+        per-rank event traces *and* aggregate metrics;
+        ``False``/``None``/``"off"`` disables both (for big sweeps).
+        ``"events"`` keeps per-event traces only; ``"metrics"`` keeps
+        aggregate counters only (``result.traces`` is ``None`` but
+        ``result.metrics`` is populated).  Stored normalized to one of
+        :data:`TRACE_MODES`.
     timeout:
-        Thread-backend watchdog in wall-clock seconds (shared by the
-        whole job).  The coop and tensor backends ignore it.
+        Thread-backend watchdog in wall-clock seconds; a blocked job
+        raises :class:`~repro.simmpi.errors.DeadlockError`.  The deadline
+        is shared by the whole job, not per rank.  Must be positive and
+        finite.  The coop and tensor backends ignore it — coop detects a
+        stuck job exactly, the instant no rank can progress.
     backend:
-        One of :data:`BACKENDS`.
+        One of :data:`BACKENDS`; all produce bit-identical simulated
+        clocks (see :mod:`repro.simmpi.executor`).
     wire:
-        One of :data:`WIRE_MODES` (``"bytes"`` or ``"phantom"``).
+        One of :data:`WIRE_MODES`.  ``"bytes"`` (default) moves real data,
+        so receive buffers hold byte-exact results.  ``"phantom"`` sends
+        only message *sizes* for data-plane traffic: clocks are
+        bit-identical to bytes mode (every cost rule is a function of
+        size alone) but receive buffers are never written.
     fault_plan:
         A :class:`~repro.simmpi.faults.FaultPlan`, its ``--faults`` spec
-        string (parsed here), or ``None`` for a clean fabric.
+        string (parsed here), or ``None`` for a clean fabric.  Same
+        ``(fault_plan, fault_seed)`` ⇒ bit-identical clocks, message
+        counts and fault sequences on every backend and wire.
     fault_seed:
         Seed of the fault engine's per-message RNG.
     on_fault:
-        One of :data:`ON_FAULT_POLICIES`.  ``"retry"`` resolves the
-        implied default :class:`ReliabilityConfig` at construction.
+        One of :data:`ON_FAULT_POLICIES`.  ``"fail-fast"`` (default): an
+        injected crash or unrecovered fault tears the job down with a
+        typed error.  ``"retry"``: the reliability transport (acked
+        delivery, retransmission with backoff, duplicate suppression,
+        in-order reassembly); its default :class:`ReliabilityConfig` is
+        resolved at construction, and a message whose retries run out
+        raises :class:`~repro.simmpi.errors.MessageLostError`.
+        ``"degrade"``: an injected crash excises the rank instead of
+        aborting — survivors read its contributions as empty and the
+        result lists it in ``SPMDResult.degraded_ranks``.
     reliability:
         A :class:`ReliabilityConfig`, ``"retry"`` (the defaults),
         ``"verify"`` (the defaults plus end-to-end integrity checks),
@@ -126,8 +146,9 @@ class ExecutionConfig:
                 f"machine must be a MachineProfile, got {self.machine!r}")
         # Normalize the trace mode (bools and None are accepted inputs).
         object.__setattr__(self, "trace", _resolve_trace_mode(self.trace))
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(
+                f"timeout must be positive and finite, got {self.timeout}")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.nonuniform import alltoallv
 from repro.core.registry import list_algorithms
-from repro.simmpi import LOCAL, THETA, run_spmd
+from repro.simmpi import run_spmd
 from repro.workloads import (
     NormalBlocks,
     PowerLawBlocks,
@@ -157,7 +157,7 @@ class TestTwoPhaseInternals:
         from repro.simmpi import MAX_USER_TAG
         p = 8
         sizes = block_size_matrix(UniformBlocks(32), p, seed=0)
-        res = run_spmd(vprog("two_phase_bruck", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("two_phase_bruck", sizes), p)
         for trace in res.traces:
             # metadata + data per step (the 2*alpha*logP of Eq. 2);
             # internal-tag traffic (the setup allreduce) excluded.
@@ -169,7 +169,7 @@ class TestTwoPhaseInternals:
         from repro.simmpi import MAX_USER_TAG
         p = 8
         sizes = block_size_matrix(UniformBlocks(32), p, seed=0)
-        res = run_spmd(vprog("two_phase_bruck", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("two_phase_bruck", sizes), p)
         for trace in res.traces:
             user = [e for e in trace.sends if e.tag < MAX_USER_TAG]
             for k in range(num_steps(p)):
@@ -184,7 +184,7 @@ class TestPaddedInternals:
         p = 8
         sizes = block_size_matrix(UniformBlocks(50), p, seed=0)
         max_n = int(sizes.max())
-        res = run_spmd(vprog("padded_bruck", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("padded_bruck", sizes), p)
         from repro.simmpi import MAX_USER_TAG
         for trace in res.traces:
             # user-tag traffic only: one padded message per step
@@ -197,8 +197,8 @@ class TestPaddedInternals:
     def test_padded_moves_more_bytes_than_two_phase(self):
         p = 8
         sizes = block_size_matrix(UniformBlocks(64), p, seed=1)
-        padded = run_spmd(vprog("padded_bruck", sizes), p, machine=LOCAL)
-        tp = run_spmd(vprog("two_phase_bruck", sizes), p, machine=LOCAL)
+        padded = run_spmd(vprog("padded_bruck", sizes), p)
+        tp = run_spmd(vprog("two_phase_bruck", sizes), p)
         assert padded.total_bytes > tp.total_bytes
 
     def test_padded_alltoall_uses_vendor_exchange(self):
@@ -206,7 +206,7 @@ class TestPaddedInternals:
         # not log(P) Bruck messages.
         p = 8
         sizes = block_size_matrix(UniformBlocks(32), p, seed=0)
-        res = run_spmd(vprog("padded_alltoall", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("padded_alltoall", sizes), p)
         max_n = int(sizes.max())
         for trace in res.traces:
             data_sends = [e for e in trace.sends if e.nbytes == max_n]
@@ -218,7 +218,7 @@ class TestSpreadOutInternals:
     def test_one_message_per_peer_with_true_sizes(self):
         p = 7
         sizes = block_size_matrix(UniformBlocks(40), p, seed=5)
-        res = run_spmd(vprog("spread_out", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("spread_out", sizes), p)
         for trace in res.traces:
             r = trace.rank
             sent = {e.dst: e.nbytes for e in trace.sends}

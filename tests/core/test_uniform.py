@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from repro.core.common import num_steps, send_block_distances
 from repro.core.registry import list_algorithms
 from repro.core.uniform import alltoall
-from repro.simmpi import LOCAL, THETA, run_spmd
+from repro.simmpi import ExecutionConfig, THETA, run_spmd
 
 from ..conftest import SMALL_PROCS
 
 ALGORITHMS = list_algorithms("uniform")
+ON_THETA = ExecutionConfig(machine=THETA)
 
 
 def fill_pattern(rank, dest, n):
@@ -99,8 +100,7 @@ class TestMessageStructure:
     @pytest.mark.parametrize("p", [4, 5, 8, 13])
     def test_bruck_message_counts(self, p):
         n = 8
-        res = run_spmd(uniform_prog("zero_rotation_bruck", n), p,
-                       machine=LOCAL)
+        res = run_spmd(uniform_prog("zero_rotation_bruck", n), p)
         steps = num_steps(p)
         for trace in res.traces:
             # one message per step per rank
@@ -112,14 +112,14 @@ class TestMessageStructure:
 
     @pytest.mark.parametrize("p", [4, 7, 8])
     def test_basic_bruck_sends_to_positive_direction(self, p):
-        res = run_spmd(uniform_prog("basic_bruck", 4), p, machine=LOCAL)
+        res = run_spmd(uniform_prog("basic_bruck", 4), p)
         for trace in res.traces:
             for k, event in enumerate(trace.sends):
                 assert event.dst == (trace.rank + (1 << k)) % p
 
     def test_spread_out_message_counts(self):
         p = 6
-        res = run_spmd(uniform_prog("spread_out", 4), p, machine=LOCAL)
+        res = run_spmd(uniform_prog("spread_out", 4), p)
         for trace in res.traces:
             assert trace.message_count == p - 1
             assert all(e.nbytes == 4 for e in trace.sends)
@@ -129,30 +129,29 @@ class TestMessageStructure:
     def test_total_bruck_volume_exceeds_spread_out(self):
         # Bruck trades bytes for latency: it must move more data.
         p, n = 16, 32
-        bruck = run_spmd(uniform_prog("zero_rotation_bruck", n), p,
-                         machine=LOCAL)
-        so = run_spmd(uniform_prog("spread_out", n), p, machine=LOCAL)
+        bruck = run_spmd(uniform_prog("zero_rotation_bruck", n), p)
+        so = run_spmd(uniform_prog("spread_out", n), p)
         assert bruck.total_bytes > so.total_bytes
         assert bruck.total_messages < so.total_messages
 
 
 class TestPhaseStructure:
     def test_basic_has_both_rotations(self):
-        res = run_spmd(uniform_prog("basic_bruck", 8), 8, machine=THETA)
+        res = run_spmd(uniform_prog("basic_bruck", 8), 8, config=ON_THETA)
         phases = res.phase_times()
         assert phases["initial_rotation"] > 0
         assert phases["final_rotation"] > 0
         assert phases["communication"] > 0
 
     def test_modified_drops_final_rotation(self):
-        res = run_spmd(uniform_prog("modified_bruck", 8), 8, machine=THETA)
+        res = run_spmd(uniform_prog("modified_bruck", 8), 8, config=ON_THETA)
         phases = res.phase_times()
         assert "final_rotation" not in phases
         assert phases["initial_rotation"] > 0
 
     def test_zero_rotation_drops_both(self):
         res = run_spmd(uniform_prog("zero_rotation_bruck", 8), 8,
-                       machine=THETA)
+                       config=ON_THETA)
         phases = res.phase_times()
         assert "initial_rotation" not in phases
         assert "final_rotation" not in phases
@@ -163,7 +162,7 @@ class TestPhaseStructure:
         n, p = 32, 16
         totals = {}
         for alg in ("basic_bruck", "modified_bruck", "zero_rotation_bruck"):
-            res = run_spmd(uniform_prog(alg, n), p, machine=THETA)
+            res = run_spmd(uniform_prog(alg, n), p, config=ON_THETA)
             totals[alg] = res.elapsed
         assert totals["zero_rotation_bruck"] < totals["modified_bruck"] \
             < totals["basic_bruck"]
@@ -178,14 +177,14 @@ class TestDatatypeVariants:
         # The paper's consistent observation at N = 32 B.
         plain, dt = pair
         p, n = 16, 32
-        t_plain = run_spmd(uniform_prog(plain, n), p, machine=THETA).elapsed
-        t_dt = run_spmd(uniform_prog(dt, n), p, machine=THETA).elapsed
+        t_plain = run_spmd(uniform_prog(plain, n), p, config=ON_THETA).elapsed
+        t_dt = run_spmd(uniform_prog(dt, n), p, config=ON_THETA).elapsed
         assert t_dt > t_plain
 
     def test_dt_variants_use_datatype_engine(self):
         res = run_spmd(uniform_prog("modified_bruck_dt", 16), 8,
-                       machine=THETA)
+                       config=ON_THETA)
         assert all(t.datatype_ops for t in res.traces)
         res_plain = run_spmd(uniform_prog("modified_bruck", 16), 8,
-                             machine=THETA)
+                             config=ON_THETA)
         assert all(not t.datatype_ops for t in res_plain.traces)

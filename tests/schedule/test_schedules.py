@@ -12,7 +12,7 @@ from repro.core.nonuniform import alltoallv
 from repro.core.registry import list_algorithms
 from repro.core.uniform import alltoall
 from repro.schedule import nonuniform_schedule, schedule_volume, uniform_schedule
-from repro.simmpi import LOCAL, MAX_USER_TAG, run_spmd
+from repro.simmpi import MAX_USER_TAG, run_spmd
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs
 
 
@@ -34,7 +34,7 @@ class TestUniformSchedules:
             send = np.zeros(p * n, dtype=np.uint8)
             recv = np.zeros(p * n, dtype=np.uint8)
             alltoall(comm, send, recv, n, algorithm=algorithm)
-        res = run_spmd(prog, p, machine=LOCAL)
+        res = run_spmd(prog, p)
         traces = traced_sends(res)
         for rank in range(p):
             expect = [(m.dst, m.nbytes)
@@ -66,7 +66,7 @@ class TestNonuniformSchedules:
         def prog(comm):
             args = build_vargs(comm.rank, sizes)
             alltoallv(comm, *args.as_tuple(), algorithm=algorithm)
-        res = run_spmd(prog, p, machine=LOCAL)
+        res = run_spmd(prog, p)
         if algorithm == "padded_alltoall":
             # Its exchange runs through the builtin alltoall, which uses
             # internal tags: keep exactly the max_n-sized data messages.
@@ -232,7 +232,6 @@ class TestRadixSchedules:
     @pytest.mark.parametrize("p", [5, 13, 16])
     def test_uniform_matches_trace(self, p, radix):
         from repro.core.registry import radix_algorithms
-        from repro.simmpi import ExecutionConfig
         n = 16
         for algorithm in radix_algorithms("uniform"):
             def prog(comm):
@@ -240,8 +239,7 @@ class TestRadixSchedules:
                 recv = np.zeros(p * n, dtype=np.uint8)
                 alltoall(comm, send, recv, n, algorithm=algorithm,
                          radix=radix)
-            res = run_spmd(prog, p,
-                           config=ExecutionConfig(machine=LOCAL))
+            res = run_spmd(prog, p)
             traces = traced_sends(res)
             for rank in range(p):
                 expect = [(m.dst, m.nbytes)
@@ -253,15 +251,13 @@ class TestRadixSchedules:
     @pytest.mark.parametrize("p", [5, 13, 16])
     def test_nonuniform_matches_trace(self, p, radix):
         from repro.core.registry import radix_algorithms
-        from repro.simmpi import ExecutionConfig
         sizes = block_size_matrix(UniformBlocks(48), p, seed=3)
         for algorithm in radix_algorithms("nonuniform"):
             def prog(comm):
                 args = build_vargs(comm.rank, sizes)
                 alltoallv(comm, *args.as_tuple(), algorithm=algorithm,
                           radix=radix)
-            res = run_spmd(prog, p,
-                           config=ExecutionConfig(machine=LOCAL))
+            res = run_spmd(prog, p)
             traces = traced_sends(res)
             for rank in range(p):
                 expect = [(m.dst, m.nbytes)

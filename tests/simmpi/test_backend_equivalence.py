@@ -68,8 +68,8 @@ def _run_uniform(name: str, nprocs: int, backend: str, wire: str):
                     theirs[comm.rank * BLOCK:(comm.rank + 1) * BLOCK])
         return comm.clock
 
-    return run_spmd(prog, nprocs, machine=THETA, backend=backend,
-                    trace=False, timeout=300, wire=wire)
+    return run_spmd(prog, nprocs, config=ExecutionConfig(
+        machine=THETA, backend=backend, trace=False, timeout=300, wire=wire))
 
 
 def _run_nonuniform(name: str, nprocs: int, backend: str, wire: str):
@@ -84,8 +84,8 @@ def _run_nonuniform(name: str, nprocs: int, backend: str, wire: str):
             verify_recv(comm.rank, sizes, vargs.recvbuf)
         return comm.clock
 
-    return run_spmd(prog, nprocs, machine=THETA, backend=backend,
-                    trace=False, timeout=300, wire=wire)
+    return run_spmd(prog, nprocs, config=ExecutionConfig(
+        machine=THETA, backend=backend, trace=False, timeout=300, wire=wire))
 
 
 def _assert_matrix(run, name, nprocs):
@@ -131,9 +131,9 @@ def _run_faulted(name: str, nprocs: int, backend: str, wire: str):
             verify_recv(comm.rank, sizes, vargs.recvbuf)
         return comm.clock
 
-    return run_spmd(prog, nprocs, machine=THETA, backend=backend,
-                    trace=True, timeout=300, wire=wire,
-                    fault_plan=FAULT_SPEC, fault_seed=23, on_fault="retry")
+    return run_spmd(prog, nprocs, config=ExecutionConfig(
+        machine=THETA, backend=backend, trace=True, timeout=300, wire=wire,
+        fault_plan=FAULT_SPEC, fault_seed=23, on_fault="retry"))
 
 
 def _fault_sequences(result):

@@ -1,4 +1,7 @@
-"""ExecutionConfig: validation, the kwarg deprecation shim, config echo."""
+"""ExecutionConfig: validation, the config-only run_spmd signature, config
+echo."""
+
+import math
 
 import pytest
 
@@ -54,9 +57,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="MachineProfile"):
             ExecutionConfig(machine="theta")
 
-    def test_bad_timeout(self):
+    @pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf])
+    def test_bad_timeout(self, timeout):
         with pytest.raises(ValueError, match="timeout"):
-            ExecutionConfig(timeout=0)
+            ExecutionConfig(timeout=timeout)
 
     def test_fault_plan_spec_string_parsed(self):
         cfg = ExecutionConfig(fault_plan="delay:d=10us,p=0.5")
@@ -98,19 +102,7 @@ class TestValidation:
 
 
 class TestShim:
-    def test_legacy_kwargs_warn_and_match_config(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionConfig"):
-            legacy = run_spmd(_prog, 4, machine=THETA, trace=False,
-                              backend="coop", wire="phantom")
-        modern = run_spmd(_prog, 4, config=ExecutionConfig(
-            machine=THETA, trace=False, backend="coop", wire="phantom"))
-        assert legacy.clocks == modern.clocks
-        assert legacy.total_messages == modern.total_messages
-
-    def test_mixing_config_and_legacy_kwargs_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_spmd(_prog, 4, config=ExecutionConfig(machine=THETA),
-                     backend="coop")
+    """The retired legacy-keyword shim: ``config=`` is the only way in."""
 
     def test_config_must_be_execution_config(self):
         with pytest.raises(ValueError, match="ExecutionConfig"):
@@ -130,6 +122,13 @@ class TestShim:
         assert res.config is cfg
 
     def test_legacy_bad_backend_fails_before_spawn(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="backend"):
-                run_spmd(_prog, 4, backend="cuda")
+        # The loose execution keywords are gone: passing one is a plain
+        # TypeError at the call, before any rank runs.
+        spawned = []
+
+        def prog(comm):
+            spawned.append(comm.rank)
+
+        with pytest.raises(TypeError, match="backend"):
+            run_spmd(prog, 4, backend="coop")
+        assert spawned == []

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.nonuniform import alltoallv
-from repro.simmpi import LOCAL, chrome_trace, format_summary, run_spmd
+from repro.simmpi import (
+    ExecutionConfig,
+    chrome_trace,
+    format_summary,
+    run_spmd,
+)
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs
 
 P = 5
@@ -19,7 +24,7 @@ def _two_phase_result(trace=True):
         vargs = build_vargs(comm.rank, sizes)
         alltoallv(comm, *vargs.as_tuple(), algorithm="two_phase_bruck")
 
-    return run_spmd(prog, P, machine=LOCAL, trace=trace)
+    return run_spmd(prog, P, config=ExecutionConfig(trace=trace))
 
 
 @pytest.fixture(scope="module")

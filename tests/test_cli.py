@@ -98,13 +98,15 @@ class TestBackendSelection:
         assert "coop backend" in out
         assert "byte-verified" in out
 
-    def test_run_coop_lifts_thread_limit(self, capsys):
+    @pytest.mark.parametrize("cmd,extra", [
+        ("run", []), ("trace", ["--level", "metrics"])], ids=["run", "trace"])
+    def test_run_coop_lifts_thread_limit(self, capsys, cmd, extra):
         # 300 ranks: refused on threads, accepted on coop.
-        assert main(["run", "-a", "vendor", "-p", "300", "-n", "4",
-                     "--machine", "local"]) == 2
+        argv = [cmd, "-a", "two_phase_bruck", "-p", "300", "-n", "4",
+                "--machine", "local", *extra]
+        assert main(argv) == 2
         assert "--backend coop" in capsys.readouterr().err
-        assert main(["run", "-a", "two_phase_bruck", "-p", "300", "-n", "4",
-                     "--machine", "local", "--backend", "coop"]) == 0
+        assert main(argv + ["--backend", "coop"]) == 0
 
     def test_run_coop_has_cap_too(self, capsys):
         assert main(["run", "-a", "vendor", "-p", "100000", "-n", "4",
